@@ -4,7 +4,8 @@
 use crate::apclass::{ApClass, ApClassification};
 use mobitrace_model::{CellId, Dataset};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 
 /// One density map: cell → number of unique associated APs of a class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -26,6 +27,13 @@ impl ApDensityMap {
     }
 }
 
+/// The cell an AP's associations were most often reported from; a tie
+/// goes to the smallest [`CellId`], so the answer never depends on the
+/// vote map's iteration order. `None` for an empty vote map.
+pub fn modal_cell(votes: &HashMap<CellId, u32>) -> Option<CellId> {
+    votes.iter().max_by_key(|&(&c, &n)| (n, Reverse(c))).map(|(&c, _)| c)
+}
+
 /// Compute Fig. 10's maps for home and public APs. An AP is attributed to
 /// the cell where its associations were most often reported.
 pub fn density_maps(ds: &Dataset, cls: &ApClassification) -> (ApDensityMap, ApDensityMap) {
@@ -38,13 +46,8 @@ pub fn density_maps(ds: &Dataset, cls: &ApClassification) -> (ApDensityMap, ApDe
     }
     let mut home = ApDensityMap::default();
     let mut public = ApDensityMap::default();
-    let mut seen: HashSet<usize> = HashSet::new();
     for (idx, votes) in cell_votes {
-        if !seen.insert(idx) {
-            continue;
-        }
-        let cell =
-            votes.into_iter().max_by_key(|&(_, n)| n).map(|(c, _)| c).expect("votes nonempty");
+        let cell = modal_cell(&votes).expect("votes nonempty");
         match cls.class_of[idx] {
             ApClass::Home => *home.cells.entry(cell).or_default() += 1,
             ApClass::Public => *public.cells.entry(cell).or_default() += 1,
@@ -120,5 +123,21 @@ mod tests {
         assert_eq!(public.cells_with_at_least(1), 1);
         assert_eq!(public.cells_with_at_least(3), 0);
         assert_eq!(public.max_cell(), 2);
+    }
+
+    #[test]
+    fn modal_cell_tie_goes_to_smallest_cell() {
+        let (small, large) = (CellId::new(3, 7), CellId::new(4, 0));
+        // Every fresh map gets its own hash seed, so repeating covers many
+        // iteration orders as well as both insertion orders.
+        for _ in 0..32 {
+            for order in [[small, large], [large, small]] {
+                let votes: HashMap<CellId, u32> = order.iter().map(|&c| (c, 2)).collect();
+                assert_eq!(modal_cell(&votes), Some(small));
+            }
+        }
+        let votes: HashMap<CellId, u32> = [(small, 2), (large, 3)].into_iter().collect();
+        assert_eq!(modal_cell(&votes), Some(large), "more votes beat a smaller id");
+        assert_eq!(modal_cell(&HashMap::new()), None);
     }
 }

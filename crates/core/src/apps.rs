@@ -85,63 +85,8 @@ fn top(volumes: &[u64; 26], n: usize) -> Vec<(AppCategory, f64)> {
 ///
 /// Walks the context's bin-range index: non-Android devices are skipped
 /// wholesale and the traffic class is resolved once per (device, day) run
-/// instead of binary-searching per bin. Within a range it scans the CSR
-/// app column: bins without app entries cost one offset compare, and the
-/// entries themselves stream from one flat allocation.
+/// instead of binary-searching per bin.
 pub fn app_breakdown(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>) -> AppBreakdown {
-    let cols = &ctx.cols;
-    let mut out = AppBreakdown::default();
-    for dev in &ctx.ds.devices {
-        if dev.os != Os::Android {
-            continue;
-        }
-        for (day, range) in ctx.index.day_spans(dev.device) {
-            if let Some(want) = class {
-                if ctx.class_of(dev.device, day) != Some(want) {
-                    continue;
-                }
-            }
-            for i in range {
-                let apps = cols.apps_of(i);
-                if apps.is_empty() {
-                    continue;
-                }
-                // Which context does this bin belong to?
-                let table_ctx = match cols.assoc_ap_of(i) {
-                    Some(ap) => match ctx.aps.class(ap) {
-                        ApClass::Home if ctx.aps.is_device_home(cols.device[i], ap) => {
-                            TableContext::WifiHome
-                        }
-                        ApClass::Public => TableContext::WifiPublic,
-                        // Office/other/foreign-home WiFi is outside the four
-                        // table columns, as in the paper.
-                        _ => continue,
-                    },
-                    None => {
-                        if cols.rx_cell(i) + cols.tx_cell(i) == 0 {
-                            continue;
-                        }
-                        if ctx.is_at_home_cell(cols.device[i], cols.geo[i]) {
-                            TableContext::CellHome
-                        } else {
-                            TableContext::CellOther
-                        }
-                    }
-                };
-                let slot = table_ctx as usize;
-                for app in apps {
-                    out.rx[slot][app.category.index()] += app.rx_bytes;
-                    out.tx[slot][app.category.index()] += app.tx_bytes;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Row-scan reference for [`app_breakdown`] (kept for equivalence tests
-/// and benchmarks).
-pub fn app_breakdown_rows(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>) -> AppBreakdown {
     let mut out = AppBreakdown::default();
     for dev in &ctx.ds.devices {
         if dev.os != Os::Android {
@@ -157,12 +102,15 @@ pub fn app_breakdown_rows(ctx: &AnalysisContext<'_>, class: Option<TrafficClass>
                 if b.apps.is_empty() {
                     continue;
                 }
+                // Which context does this bin belong to?
                 let table_ctx = match b.wifi.assoc() {
                     Some(a) => match ctx.aps.class(a.ap) {
                         ApClass::Home if ctx.aps.is_device_home(b.device, a.ap) => {
                             TableContext::WifiHome
                         }
                         ApClass::Public => TableContext::WifiPublic,
+                        // Office/other/foreign-home WiFi is outside the four
+                        // table columns, as in the paper.
                         _ => continue,
                     },
                     None => {
@@ -280,7 +228,6 @@ mod tests {
         let ds = dataset();
         let actx = AnalysisContext::new(&ds);
         let b = app_breakdown(&actx, None);
-        assert_eq!(b, app_breakdown_rows(&actx, None));
         assert_eq!(b.rx[TableContext::CellHome as usize][AppCategory::Video.index()], 900);
         assert_eq!(b.rx[TableContext::CellOther as usize][AppCategory::Browser.index()], 700);
         assert_eq!(b.rx[TableContext::WifiPublic as usize][AppCategory::Downloading.index()], 500);

@@ -8,6 +8,7 @@
 //! normalised by the pairs possible.
 
 use crate::apclass::{ApClass, ApClassification};
+use crate::apmap::modal_cell;
 use mobitrace_model::{Band, CellId, Channel, Dataset};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -52,7 +53,7 @@ pub fn interference_pressure(
     // Group channels by (class, cell).
     let mut per_cell: HashMap<(ApClass, CellId), Vec<Channel>> = HashMap::new();
     for (idx, votes) in cell_votes {
-        let cell = votes.into_iter().max_by_key(|&(_, n)| n).map(|(c, _)| c).expect("nonempty");
+        let cell = modal_cell(&votes).expect("nonempty");
         let class = cls.class_of[idx];
         per_cell.entry((class, cell)).or_default().push(chan[&idx]);
     }

@@ -47,27 +47,8 @@ impl ClassFilter {
     }
 }
 
-/// WiFi-traffic ratio per hour of week (Figs. 6a, 7). Streams the columnar
-/// view: only the device/time columns and two counters come through cache.
+/// WiFi-traffic ratio per hour of week (Figs. 6a, 7).
 pub fn wifi_traffic_ratio(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioSeries {
-    let cols = &ctx.cols;
-    let mut wifi = vec![0.0; WEEK_HOURS];
-    let mut total = vec![0.0; WEEK_HOURS];
-    for i in 0..cols.len() {
-        let t = cols.time[i];
-        if !filter.admits(ctx.class_of(cols.device[i], t.day())) {
-            continue;
-        }
-        let slot = ((t.day() % 7) * 24 + t.hour()) as usize;
-        wifi[slot] += cols.rx_wifi[i] as f64;
-        total[slot] += cols.rx_total(i) as f64;
-    }
-    finish(wifi, total)
-}
-
-/// Row-scan reference for [`wifi_traffic_ratio`] (kept for equivalence
-/// tests and benchmarks).
-pub fn wifi_traffic_ratio_rows(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioSeries {
     let mut wifi = vec![0.0; WEEK_HOURS];
     let mut total = vec![0.0; WEEK_HOURS];
     for b in &ctx.ds.bins {
@@ -87,50 +68,11 @@ pub fn wifi_user_ratio(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioS
     // Count distinct (device, slot-instance) pairs. One device appears
     // once per hour: 6 bins — it counts as a WiFi user if any of them is
     // associated. Exploit the per-device time ordering: bins of one hour
-    // of one device are adjacent. Columnar scan: device, time and the
-    // one-byte WiFi tag.
-    let cols = &ctx.cols;
+    // of one device are adjacent.
     let mut users = vec![0.0; WEEK_HOURS];
     let mut wifi_users = vec![0.0; WEEK_HOURS];
     let mut current: Option<(mobitrace_model::DeviceId, u32, bool, usize, bool)> = None;
     // (device, absolute-hour, associated, slot, admitted)
-    let mut flush = |c: Option<(mobitrace_model::DeviceId, u32, bool, usize, bool)>| {
-        if let Some((_, _, assoc, slot, admitted)) = c {
-            if admitted {
-                users[slot] += 1.0;
-                if assoc {
-                    wifi_users[slot] += 1.0;
-                }
-            }
-        }
-    };
-    for i in 0..cols.len() {
-        let device = cols.device[i];
-        let t = cols.time[i];
-        let abs_hour = t.minute / 60;
-        let slot = ((t.day() % 7) * 24 + t.hour()) as usize;
-        let assoc = cols.wifi_tag[i] == mobitrace_model::WifiTag::Associated;
-        match &mut current {
-            Some((dev, hour, acc_assoc, _, _)) if *dev == device && *hour == abs_hour => {
-                *acc_assoc |= assoc;
-            }
-            other => {
-                let admitted = filter.admits(ctx.class_of(device, t.day()));
-                flush(other.take());
-                current = Some((device, abs_hour, assoc, slot, admitted));
-            }
-        }
-    }
-    flush(current.take());
-    finish(wifi_users, users)
-}
-
-/// Row-scan reference for [`wifi_user_ratio`] (kept for equivalence tests
-/// and benchmarks).
-pub fn wifi_user_ratio_rows(ctx: &AnalysisContext<'_>, filter: ClassFilter) -> RatioSeries {
-    let mut users = vec![0.0; WEEK_HOURS];
-    let mut wifi_users = vec![0.0; WEEK_HOURS];
-    let mut current: Option<(mobitrace_model::DeviceId, u32, bool, usize, bool)> = None;
     let mut flush = |c: Option<(mobitrace_model::DeviceId, u32, bool, usize, bool)>| {
         if let Some((_, _, assoc, slot, admitted)) = c {
             if admitted {
@@ -229,7 +171,6 @@ mod tests {
         );
         let ctx = AnalysisContext::new(&ds);
         let r = wifi_traffic_ratio(&ctx, ClassFilter::All);
-        assert_eq!(r, wifi_traffic_ratio_rows(&ctx, ClassFilter::All));
         assert!((r.ratio[10] - 0.5).abs() < 1e-12); // 400/800
         assert_eq!(r.ratio[20], 0.0);
         // Mean = 400 / 1300.
@@ -254,7 +195,6 @@ mod tests {
         );
         let ctx = AnalysisContext::new(&ds);
         let r = wifi_user_ratio(&ctx, ClassFilter::All);
-        assert_eq!(r, wifi_user_ratio_rows(&ctx, ClassFilter::All));
         assert!((r.ratio[10] - 0.5).abs() < 1e-12, "{}", r.ratio[10]);
     }
 

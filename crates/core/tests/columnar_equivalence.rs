@@ -4,10 +4,8 @@
 //! that lets the hot paths scan [`mobitrace_model::DatasetColumns`] while
 //! `Dataset::bins` stays the source of truth.
 
-use mobitrace_core::daily::TrafficClass;
-use mobitrace_core::ratios::ClassFilter;
 use mobitrace_core::{
-    apclass, apps, availability, daily, overview, quality, ratios, timeseries, AnalysisContext,
+    apclass, availability, daily, overview, quality, timeseries, AnalysisContext,
 };
 use mobitrace_model::{
     ApEntry, ApRef, AppBin, AppCategory, Band, BinRecord, Bssid, CampaignMeta, Carrier, CellId,
@@ -134,21 +132,6 @@ fn assert_passes_match(ds: &Dataset) {
         availability::detected_public_aps_rows(ds)
     );
     assert_eq!(availability::offload_potential(ds, cols), availability::offload_potential_rows(ds));
-    for filter in [ClassFilter::All, ClassFilter::Only(TrafficClass::Heavy)] {
-        assert_eq!(
-            ratios::wifi_traffic_ratio(&ctx, filter),
-            ratios::wifi_traffic_ratio_rows(&ctx, filter)
-        );
-        assert_eq!(
-            ratios::wifi_user_ratio(&ctx, filter),
-            ratios::wifi_user_ratio_rows(&ctx, filter)
-        );
-    }
-    assert_eq!(apps::app_breakdown(&ctx, None), apps::app_breakdown_rows(&ctx, None));
-    assert_eq!(
-        apps::app_breakdown(&ctx, Some(TrafficClass::Light)),
-        apps::app_breakdown_rows(&ctx, Some(TrafficClass::Light))
-    );
 }
 
 proptest! {

@@ -558,6 +558,79 @@ mod tests {
         assert!((0.07..=0.18).contains(&weak), "public weak share {weak}");
     }
 
+    /// Scan statistics the simulator's association logic depends on:
+    /// mean and weak (< −70 dBm) share of each scan's strongest radio —
+    /// the one a device would join — and the mean 2.4 GHz scan size.
+    struct ScanStats {
+        mean_best: f64,
+        weak_best: f64,
+        mean_n24: f64,
+    }
+
+    fn scan_stats(scans: &[Vec<(Band, f64)>]) -> ScanStats {
+        let best: Vec<f64> =
+            scans.iter().filter_map(|s| s.iter().map(|&(_, r)| r).max_by(f64::total_cmp)).collect();
+        assert!(best.len() > 500, "too few non-empty scans ({})", best.len());
+        let n24 = scans.iter().flatten().filter(|(b, _)| *b == Band::Ghz24).count();
+        ScanStats {
+            mean_best: best.iter().sum::<f64>() / best.len() as f64,
+            weak_best: best.iter().filter(|&&r| r < -70.0).count() as f64 / best.len() as f64,
+            mean_n24: n24 as f64 / scans.len() as f64,
+        }
+    }
+
+    #[test]
+    fn plan_sampling_matches_exact_scan_distributions() {
+        use mobitrace_radio::GaussianPair;
+        let spec = small_spec();
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let w = ApWorld::generate(&spec, &mut rng);
+        // Where devices spend their bins: homes, offices, public hotspots.
+        let positions: Vec<GeoPoint> = spec
+            .participant_homes
+            .iter()
+            .map(|&(_, p)| p)
+            .chain(spec.office_sites.iter().copied())
+            .chain(w.aps.iter().filter(|a| a.venue.is_public()).take(20).map(|a| a.pos))
+            .collect();
+        let (mut planned, mut exact) = (Vec::new(), Vec::new());
+        let mut gauss = GaussianPair::new();
+        let mut buf = Vec::new();
+        for &pos in &positions {
+            // The simulator's path: the plan of the position's cell.
+            let plan = w.build_scan_plan(w.plan_cell_centre(w.plan_key(pos)));
+            for _ in 0..40 {
+                let mut scan = Vec::new();
+                plan.sample(&mut rng, &mut gauss, |e, rssi| scan.push((e.band, rssi.as_f64())));
+                planned.push(scan);
+                w.scan_into(pos, &mut rng, &mut buf);
+                exact.push(buf.iter().map(|o| (o.band, o.rssi.as_f64())).collect());
+            }
+        }
+        let (p, e) = (scan_stats(&planned), scan_stats(&exact));
+        assert!(
+            (p.mean_best - e.mean_best).abs() < 2.0,
+            "mean best RSSI diverged: plan {} vs exact {}",
+            p.mean_best,
+            e.mean_best
+        );
+        assert!(
+            (p.weak_best - e.weak_best).abs() < 0.05,
+            "weak share diverged: plan {} vs exact {}",
+            p.weak_best,
+            e.weak_best
+        );
+        // 8σ-pruned plans may drop statistically invisible candidates but
+        // must not change what devices actually hear.
+        let rel = (p.mean_n24 - e.mean_n24).abs() / e.mean_n24;
+        assert!(
+            rel < 0.20,
+            "mean 2.4 GHz scan size diverged: plan {} vs exact {}",
+            p.mean_n24,
+            e.mean_n24
+        );
+    }
+
     #[test]
     fn plan_five_ghz_means_attenuate_more() {
         let spec = small_spec();
@@ -579,7 +652,7 @@ mod tests {
 
     #[test]
     fn plan_covers_every_scanned_radio() {
-        // Safety net: nothing the uncached scan can hear may be pruned
+        // Safety net: nothing the exact scan can hear may be pruned
         // from the plan built at the same position.
         let spec = small_spec();
         let mut rng = ChaCha8Rng::seed_from_u64(13);

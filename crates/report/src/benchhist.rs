@@ -16,9 +16,9 @@
 //! that once shadowed this map were removed after their one-release
 //! deprecation window):
 //!
-//! - `sim.*` — simulator stage (`cached_s`, `uncached_s`, `speedup`,
-//!   and `total_s` = cached sim + context build, the resimulation
-//!   path's time to analysis-ready contexts)
+//! - `sim.*` — simulator stage (`cached_s`, the scan-plan-cached
+//!   simulate, and `total_s` = simulate + context build, the
+//!   resimulation path's time to analysis-ready contexts)
 //! - `ingest.*` — encode/ingest/clean stages
 //! - `analysis.<pass>.*` — per-pass `rows_s`, `cols_s` and their
 //!   `ratio` (= `cols_s / rows_s`)
@@ -27,8 +27,6 @@
 //! - `pool.*` — `.mtpool` persistence (`save_s`, `load_s`, `analyze_s`;
 //!   the pool's exit criterion is `pool.load_s + pool.analyze_s <
 //!   sim.total_s`)
-//! - `json.*` — JSON dataset persistence (`save_s`, `load_s`,
-//!   `analyze_s`), the baseline the pool replaces
 //!
 //! # What the gate tracks
 //!

@@ -5,14 +5,15 @@
 //! mobitrace list
 //! mobitrace run <id>... [--scale S] [--seed N]
 //! mobitrace all [--scale S] [--seed N] [--json PATH]
-//! mobitrace simulate --out DIR [--scale S] [--seed N]
-//! mobitrace analyze --data DIR [<id>...]
 //! mobitrace bench [--quick] [--scale S] [--seed N] [--json PATH]
 //! mobitrace chaos [--quick] [--scale S] [--seed N]
 //! mobitrace live [--quick] [--chaos] [--scale S] [--seed N]
 //! mobitrace fleet [--devices N[k|M]] [--cohorts K] [--duration S] [--chaos]
 //!                 [--faults] [--checkpoint DIR] [--resume DIR]
-//! mobitrace serve [--live | --data FILE.mtpool | --data DIR]
+//! mobitrace pool export --out FILE.mtpool [--scale S] [--seed N] [--where EXPR]...
+//! mobitrace pool analyze --data FILE.mtpool [<id>...]
+//! mobitrace pool verify --data FILE.mtpool
+//! mobitrace serve [--live | --data FILE.mtpool]
 //!                 [--where EXPR]... [--json PATH | --listen ADDR]
 //!                 [--interval S] [--duration S] [--min-generations N]
 //! ```
@@ -120,10 +121,10 @@ fn parse_args() -> Result<Args, String> {
                 out.json = Some(args.next().ok_or("--json needs a path")?);
             }
             "--out" => {
-                out.out = Some(args.next().ok_or("--out needs a directory")?);
+                out.out = Some(args.next().ok_or("--out needs a pool path")?);
             }
             "--data" => {
-                out.data = Some(args.next().ok_or("--data needs a directory")?);
+                out.data = Some(args.next().ok_or("--data needs a pool path")?);
             }
             "--quick" => out.quick = true,
             "--chaos" => out.chaos = true,
@@ -242,50 +243,6 @@ fn main() {
                 println!("  {id}");
             }
         }
-        "simulate" => {
-            let dir = args.out.clone().unwrap_or_else(|| "datasets".into());
-            eprintln!(
-                "simulating campaigns at scale {} (seed {}) into {dir}/ ...",
-                args.scale, args.seed
-            );
-            let set = CampaignSet::simulate(args.scale, args.seed);
-            match set.save(std::path::Path::new(&dir)) {
-                Ok(paths) => {
-                    for p in paths {
-                        println!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "analyze" => {
-            let dir = args.data.clone().unwrap_or_else(|| "datasets".into());
-            let set = match CampaignSet::load(std::path::Path::new(&dir)) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot load datasets from {dir}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let ctxs = set.contexts();
-            let ids: Vec<String> = if args.ids.is_empty() {
-                all_experiment_ids().iter().map(|s| s.to_string()).collect()
-            } else {
-                args.ids.clone()
-            };
-            for id in &ids {
-                match run_experiment(id, &set, &ctxs) {
-                    Some(r) => println!("{}", r.render()),
-                    None => {
-                        eprintln!("error: unknown experiment '{id}'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
         "run" | "all" => {
             let ids: Vec<String> = if args.command == "all" || args.ids.is_empty() {
                 all_experiment_ids().iter().map(|s| s.to_string()).collect()
@@ -337,8 +294,6 @@ fn main() {
                  Usage of Smartphones' (IMC'15)\n\n\
                  usage:\n  mobitrace list\n  mobitrace run <id>... [--scale S] [--seed N]\n  \
                  mobitrace all [--scale S] [--seed N] [--json PATH]\n  \
-                 mobitrace simulate --out DIR [--scale S] [--seed N]\n  \
-                 mobitrace analyze --data DIR [<id>...]\n  \
                  mobitrace bench [--quick] [--scale S] [--seed N] [--json PATH]\n          \
                  [--compare BASELINE.jsonl] [--tolerance X] [--history HIST.jsonl]\n          \
                  [--label NAME]\n  \
@@ -352,7 +307,7 @@ fn main() {
                  [--workers W] [--rate R/s] [--chaos] [--faults] [--quick]\n          \
                  [--checkpoint DIR] [--resume DIR] [--json PATH]\n          \
                  [--compare HIST.jsonl] [--history HIST.jsonl] [--label NAME]\n  \
-                 mobitrace serve [--live | --data FILE.mtpool | --data DIR]\n          \
+                 mobitrace serve [--live | --data FILE.mtpool]\n          \
                  [--where EXPR]... [--json PATH | --listen ADDR]\n          \
                  [--interval S] [--duration S] [--min-generations N]\n\n\
                  scale 1.0 = the paper's full populations (~1600-1755 users/campaign);\n\
@@ -381,7 +336,7 @@ fn main() {
                  and re-evaluates them against every snapshot generation of a\n\
                  running live campaign (`--live`), a growing `.mtpool` file\n\
                  (`--data FILE.mtpool`, polled every `--interval` seconds for\n\
-                 `--duration`), or a one-shot batch dataset, streaming one JSONL\n\
+                 `--duration`), or else a one-shot simulated batch, streaming one JSONL\n\
                  record per (query, generation) to stdout, `--json PATH`, or a\n\
                  `--listen` TCP/unix socket;\n\
                  `--quick` caps the scale at 0.02 (and `fleet` at 50k devices)\n\
@@ -806,7 +761,7 @@ fn finish_serve(tally: &ServeTally, n_queries: usize, min_generations: u64) {
 /// process (`--live`, one generation per engine compaction), a `.mtpool`
 /// file another process is appending to (`--data FILE.mtpool`, re-opened on
 /// epoch change every `--interval` seconds until `--duration` elapses), or
-/// a one-shot batch dataset (`--data DIR` or a fresh simulation). Every
+/// a one-shot batch over a fresh simulation (no source given). Every
 /// (query, generation) evaluation streams one JSONL [`ServeRecord`].
 ///
 /// The live source ends with the same convergence gates as `mobitrace
@@ -840,10 +795,9 @@ fn run_serve(args: &Args) {
     }
     let sink = open_serve_sink(args);
 
-    let pool_path = args.data.as_deref().filter(|d| d.ends_with(".mtpool"));
     if args.live {
         serve_live(args, set, sink);
-    } else if let Some(path) = pool_path {
+    } else if let Some(path) = &args.data {
         serve_pool_follow(args, set, sink, std::path::Path::new(path));
     } else {
         serve_batch(args, set, sink);
@@ -1002,31 +956,16 @@ fn serve_pool_follow(
     finish_serve(&tally, set.queries.len(), args.min_generations);
 }
 
-/// Batch source: load (`--data DIR`) or simulate the campaign set and
-/// evaluate the query set once per campaign year, generation = campaign
-/// year. No cadence — this is the one-shot shape for piping query results
-/// into scripts.
+/// Batch source: simulate the campaign set and evaluate the query set
+/// once per campaign year, generation = campaign year. No cadence — this
+/// is the one-shot shape for piping query results into scripts.
 fn serve_batch(args: &Args, set: mobitrace_query::QuerySet, sink: ServeSink) {
     use mobitrace_model::{DatasetColumns, DatasetIndex};
     use mobitrace_query::watermark_minute;
 
-    let campaigns = match &args.data {
-        Some(dir) => match CampaignSet::load(std::path::Path::new(dir)) {
-            Ok(s) => {
-                eprintln!("serve: one-shot batch over {dir}");
-                s
-            }
-            Err(e) => {
-                eprintln!("error: cannot load datasets from {dir}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            let scale = if args.quick { args.scale.min(0.02) } else { args.scale };
-            eprintln!("serve: one-shot batch, simulating at scale {scale} (seed {})...", args.seed);
-            CampaignSet::simulate(scale, args.seed)
-        }
-    };
+    let scale = if args.quick { args.scale.min(0.02) } else { args.scale };
+    eprintln!("serve: one-shot batch, simulating at scale {scale} (seed {})...", args.seed);
+    let campaigns = CampaignSet::simulate(scale, args.seed);
     let mut tally = ServeTally::default();
     for (ds, year) in campaigns.years.iter().zip([2013u64, 2014, 2015]) {
         let index = DatasetIndex::build(ds);
@@ -1176,8 +1115,9 @@ fn world_scan_breakdown() -> serde_json::Value {
     })
 }
 
-/// `mobitrace bench`: wall-clock each pipeline stage (simulate → ingest →
-/// clean → contexts → experiments) and write the machine-readable
+/// `mobitrace bench`: wall-clock each pipeline stage (simulate once →
+/// ingest → clean → contexts → pool save/load → per-pass rows-vs-cols →
+/// experiments → live → serve) and write the machine-readable
 /// `BENCH_pipeline.json`. With `--history` the run also appends a
 /// [`benchhist::BenchEntry`] to the committed JSONL trajectory; with
 /// `--compare` it is gated against the last committed entry (exit 1 on
@@ -1192,22 +1132,11 @@ fn run_pipeline_bench(args: &Args) {
     // `analysis.<pass>.*`, `live.*`, `world_scan.*`; see `benchhist`).
     let mut metrics: std::collections::BTreeMap<String, f64> = Default::default();
 
-    // Simulate twice — scan-plan cache off (the pre-optimisation path)
-    // then on — so the JSON records the simulate-stage speedup directly.
     let t = std::time::Instant::now();
-    std::hint::black_box(CampaignSet::simulate_opts(scale, args.seed, false));
-    let simulate_uncached_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let set = CampaignSet::simulate_opts(scale, args.seed, true);
+    let set = CampaignSet::simulate(scale, args.seed);
     let simulate_s = t.elapsed().as_secs_f64();
-    let simulate_speedup = simulate_uncached_s / simulate_s.max(1e-9);
-    eprintln!(
-        "  simulate: cached {simulate_s:.2}s vs uncached {simulate_uncached_s:.2}s \
-         ({simulate_speedup:.1}x)"
-    );
+    eprintln!("  simulate: {simulate_s:.2}s");
     metrics.insert("sim.cached_s".into(), simulate_s);
-    metrics.insert("sim.uncached_s".into(), simulate_uncached_s);
-    metrics.insert("sim.speedup".into(), simulate_speedup);
 
     let world_scan = world_scan_breakdown();
     {
@@ -1358,16 +1287,16 @@ fn run_pipeline_bench(args: &Args) {
     let context_s = t.elapsed().as_secs_f64();
     eprintln!("  contexts: {context_s:.2}s");
     metrics.insert("analysis.context_s".into(), context_s);
-    // Resimulation's total cost to reach analysis-ready contexts (cached
-    // sim + context build). The persistence paths below are timed to the
-    // same finish line, so `pool.load_s + pool.analyze_s < sim.total_s`
-    // is a like-for-like race.
+    // Resimulation's total cost to reach analysis-ready contexts (sim +
+    // context build). The pool path below is timed to the same finish
+    // line, so `pool.load_s + pool.analyze_s < sim.total_s` is a
+    // like-for-like race.
     metrics.insert("sim.total_s".into(), simulate_s + context_s);
 
-    // Persistence paths: the mmap pool vs the JSON datasets, each split
-    // into load (bytes → CampaignSet) and analyze (→ contexts). The pool
-    // ships the index and columns inside the file, so its analyze step
-    // skips the clean/index/transpose work the other two paths repeat.
+    // Persistence: the mmap pool, split into load (bytes → CampaignSet)
+    // and analyze (→ contexts). The pool ships the index and columns
+    // inside the file, so its analyze step skips the clean/index/transpose
+    // work resimulation repeats.
     let scratch = std::env::temp_dir().join(format!("mt-bench-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("bench scratch dir");
     let pool_path = scratch.join("campaigns.mtpool");
@@ -1385,41 +1314,24 @@ fn run_pipeline_bench(args: &Args) {
     }
     drop(pool_ctxs);
     drop(pool_set);
-    let t = std::time::Instant::now();
-    set.save(&scratch).expect("save json");
-    let json_save_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let json_set = CampaignSet::load(&scratch).expect("load json");
-    let json_load_s = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    std::hint::black_box(json_set.contexts());
-    let json_analyze_s = t.elapsed().as_secs_f64();
-    drop(json_set);
     std::fs::remove_dir_all(&scratch).ok();
     metrics.insert("pool.save_s".into(), pool_save_s);
     metrics.insert("pool.load_s".into(), pool_load_s);
     metrics.insert("pool.analyze_s".into(), pool_analyze_s);
-    metrics.insert("json.save_s".into(), json_save_s);
-    metrics.insert("json.load_s".into(), json_load_s);
-    metrics.insert("json.analyze_s".into(), json_analyze_s);
     eprintln!(
         "  persistence to ready contexts: pool {:.2}s (load {pool_load_s:.2}s + analyze \
-         {pool_analyze_s:.2}s) vs json {:.2}s vs resimulate {:.2}s",
+         {pool_analyze_s:.2}s) vs resimulate {:.2}s",
         pool_load_s + pool_analyze_s,
-        json_load_s + json_analyze_s,
         simulate_s + context_s
     );
 
     // Per-pass timings on the 2015 campaign: each columnar hot pass vs the
     // retained row-scan reference it is property-tested against.
-    use mobitrace_core::{
-        apclass, apps, availability, daily, overview, quality, ratios, timeseries,
-    };
+    use mobitrace_core::{apclass, availability, daily, overview, quality, timeseries};
     let ds15 = set.year(Year::Y2015);
     let ctx15 = &ctxs[2];
     let cols = &ctx15.cols;
     let aps = &ctx15.aps;
-    let all = ratios::ClassFilter::All;
     let t = std::time::Instant::now();
     let pass_timings: Vec<(&str, f64, f64)> = vec![
         (
@@ -1466,21 +1378,6 @@ fn run_pipeline_bench(args: &Args) {
             "offload",
             time_pass(|| availability::offload_potential_rows(ds15)),
             time_pass(|| availability::offload_potential(ds15, cols)),
-        ),
-        (
-            "wifi_traffic_ratio",
-            time_pass(|| ratios::wifi_traffic_ratio_rows(ctx15, all)),
-            time_pass(|| ratios::wifi_traffic_ratio(ctx15, all)),
-        ),
-        (
-            "wifi_user_ratio",
-            time_pass(|| ratios::wifi_user_ratio_rows(ctx15, all)),
-            time_pass(|| ratios::wifi_user_ratio(ctx15, all)),
-        ),
-        (
-            "app_breakdown",
-            time_pass(|| apps::app_breakdown_rows(ctx15, None)),
-            time_pass(|| apps::app_breakdown(ctx15, None)),
         ),
     ];
     let mut passes_map = serde_json::Map::new();
@@ -1647,7 +1544,7 @@ fn run_pipeline_bench(args: &Args) {
 
     // `metrics` is the canonical (and only) namespace: flat dotted keys
     // (`sim.*`, `ingest.*`, `analysis.<pass>.*`, `live.*`, `world_scan.*`,
-    // `pool.*`, `json.*`; see `benchhist`). The nested per-stage aliases
+    // `pool.*`; see `benchhist`). The nested per-stage aliases
     // PR 6 kept "for one release" are gone. Two structured extras that
     // have no scalar form survive outside `metrics`: the per-snapshot
     // live deltas and the per-pass rows/cols table.

@@ -46,12 +46,6 @@ pub struct CampaignConfig {
     /// The produced dataset is identical for every thread count (each
     /// device has its own RNG stream and ingest order is irrelevant).
     pub n_threads: Option<usize>,
-    /// Use position-keyed scan plans (cached deterministic candidate
-    /// lists, shadowing-only sampling) in the device hot path. Off falls
-    /// back to the full spatial scan per bin; both paths reproduce the
-    /// same RSSI/scan-size distributions (pinned by tests), and each is
-    /// individually deterministic across runs and thread counts.
-    pub scan_cache: bool,
 }
 
 impl CampaignConfig {
@@ -80,7 +74,6 @@ impl CampaignConfig {
             tether_users: 0.025,
             cap_override: None,
             n_threads: None,
-            scan_cache: true,
         }
     }
 
@@ -102,12 +95,6 @@ impl CampaignConfig {
     /// Same campaign with an explicit worker-thread count.
     pub fn with_threads(mut self, n: usize) -> CampaignConfig {
         self.n_threads = Some(n);
-        self
-    }
-
-    /// Same campaign with scan-plan caching switched on or off.
-    pub fn with_scan_cache(mut self, on: bool) -> CampaignConfig {
-        self.scan_cache = on;
         self
     }
 

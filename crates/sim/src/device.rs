@@ -658,28 +658,19 @@ impl DeviceSim {
             }
         }
 
-        // Scan: fill the reusable buffer and tally the summary in one
-        // pass. The cached path replays the position's precomputed plan
-        // (sampling only indoor micro-distance + shadowing); the fallback
-        // walks the spatial index exactly as before.
+        // Scan: replay the position's precomputed plan (sampling only
+        // indoor micro-distance + shadowing), filling the reusable buffer
+        // and tallying the summary in one pass.
         let mut summary = ScanSummary::default();
-        if shared.config.scan_cache {
-            let plan = self.plan_at(shared, pos);
-            let rng = &mut self.rng;
-            let gauss = &mut self.gauss;
-            let buf = &mut self.scan_buf;
-            buf.clear();
-            plan.sample(rng, gauss, |e, rssi| {
-                tally_scan(&mut summary, e.band, e.public, rssi);
-                buf.push(e.obs(rssi));
-            });
-        } else {
-            shared.world.scan_into(pos, &mut self.rng, &mut self.scan_buf);
-            for obs in &self.scan_buf {
-                let public = shared.world.ap(obs.ap).venue.is_public();
-                tally_scan(&mut summary, obs.band, public, obs.rssi);
-            }
-        }
+        let plan = self.plan_at(shared, pos);
+        let rng = &mut self.rng;
+        let gauss = &mut self.gauss;
+        let buf = &mut self.scan_buf;
+        buf.clear();
+        plan.sample(rng, gauss, |e, rssi| {
+            tally_scan(&mut summary, e.band, e.public, rssi);
+            buf.push(e.obs(rssi));
+        });
         // Half of commute-bin snapshots catch the user on the train, not
         // dwelling at the station: interface on, nothing joinable.
         if matches!(activity, Activity::Commute { .. }) && self.rng.gen_bool(0.45) {
@@ -794,19 +785,9 @@ impl DeviceSim {
     }
 }
 
-/// Summarise a scan into the per-band/strength/public counts the agent
-/// reports.
-pub fn summarize_scan(world: &ApWorld, scan: &[ScanObs]) -> ScanSummary {
-    let mut s = ScanSummary::default();
-    for obs in scan {
-        tally_scan(&mut s, obs.band, world.ap(obs.ap).venue.is_public(), obs.rssi);
-    }
-    s
-}
-
-/// Fold one observation into a [`ScanSummary`]. Extracted so the scan hot
-/// path can tally while filling the scan buffer (and with venue publicness
-/// pre-resolved in the plan) instead of re-walking the AP table afterwards.
+/// Fold one observation into the per-band/strength/public counts the
+/// agent reports. The scan hot path tallies while filling the scan
+/// buffer, with venue publicness pre-resolved in the plan.
 pub fn tally_scan(s: &mut ScanSummary, band: Band, public: bool, rssi: Dbm) {
     let strong = rssi.is_strong();
     match band {

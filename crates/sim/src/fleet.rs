@@ -32,15 +32,12 @@ pub struct ObservationPool {
 
 impl ObservationPool {
     /// Build the pool from a template campaign of roughly `templates`
-    /// devices over `days` days (scan-plan cache on — the template run is
-    /// the fleet's use of the cached simulator hot path). Deterministic
-    /// for a given seed.
+    /// devices over `days` days. Deterministic for a given seed.
     pub fn build(year: Year, templates: usize, days: u32, seed: u64) -> ObservationPool {
         // `scaled` floors at 20 users; scale against the paper's ~1600.
         let mut cfg = CampaignConfig::scaled(year, templates as f64 / 1600.0);
         cfg.days = days.max(1);
         cfg.seed = seed;
-        cfg.scan_cache = true;
         let raw = run_campaign_raw(&cfg, |_| {});
         let mut out: Vec<Vec<Observation>> = Vec::new();
         let records = &raw.records;

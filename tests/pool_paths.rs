@@ -1,6 +1,6 @@
-//! The pool's correctness contract, end to end: the three ways to reach
-//! analysis-ready contexts — resimulate in memory, reload the JSON
-//! datasets, or mmap the `.mtpool` file — must render **bit-identical**
+//! The pool's correctness contract, end to end: the two ways to reach
+//! analysis-ready contexts — resimulate in memory, or mmap the `.mtpool`
+//! file — must render **bit-identical**
 //! experiment reports for every experiment in the registry. Rendered text
 //! is the strictest practical equality: it folds every table cell, every
 //! figure bar, and every paper-reference comparison into one string, so
@@ -34,8 +34,8 @@ fn render_all(set: &CampaignSet) -> Vec<(String, String)> {
 }
 
 #[test]
-fn resimulate_json_and_pool_render_identical_reports() {
-    let dir = scratch_dir("tri");
+fn resimulate_and_pool_render_identical_reports() {
+    let dir = scratch_dir("two");
     let pool_path = dir.join("campaigns.mtpool");
 
     // Path 1: resimulate.
@@ -43,12 +43,7 @@ fn resimulate_json_and_pool_render_identical_reports() {
     let sim_reports = render_all(&sim_set);
     assert!(!sim_reports.is_empty());
 
-    // Path 2: JSON round-trip.
-    sim_set.save(&dir).expect("save json");
-    let json_set = CampaignSet::load(&dir).expect("load json");
-    let json_reports = render_all(&json_set);
-
-    // Path 3: pool round-trip, contexts served from the stored
+    // Path 2: pool round-trip, contexts served from the stored
     // index/columns rather than rebuilt.
     sim_set.save_pool(&pool_path).expect("save pool");
     let (pool_set, views) = CampaignSet::load_pool(&pool_path).expect("load pool");
@@ -61,14 +56,9 @@ fn resimulate_json_and_pool_render_identical_reports() {
         })
         .collect();
 
-    assert_eq!(sim_reports.len(), json_reports.len());
     assert_eq!(sim_reports.len(), pool_reports.len());
-    for ((id, sim), ((jid, json), (pid, pool))) in
-        sim_reports.iter().zip(json_reports.iter().zip(pool_reports.iter()))
-    {
-        assert_eq!(id, jid);
+    for ((id, sim), (pid, pool)) in sim_reports.iter().zip(pool_reports.iter()) {
         assert_eq!(id, pid);
-        assert_eq!(sim, json, "JSON path diverged on experiment {id}");
         assert_eq!(sim, pool, "pool path diverged on experiment {id}");
     }
 
