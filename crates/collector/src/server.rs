@@ -30,7 +30,6 @@ use crate::codec::{
     decode_batch_into, decode_frame, decode_frame_with, encode_batch, CodecError, EssidTable,
 };
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use mobitrace_model::{DeviceId, Record};
 use mobitrace_pool::{PoolError, PoolReader, PoolWriter};
 use parking_lot::{Mutex, RwLock};
@@ -62,10 +61,10 @@ const JOURNAL_CHECKPOINT: usize = 4096;
 
 type Store = HashMap<DeviceId, BTreeMap<u32, Record>>;
 
-/// Bound on each tap shard's channel, in batches. Past it, publishes spill
-/// into an unbounded side buffer (counted in
-/// [`overflow`](IngestTap::overflow)) instead of blocking ingest.
-const TAP_CHANNEL_BOUND: usize = 64;
+/// Undrained batches a tap shard may hold before further publishes are
+/// counted in [`overflow`](IngestTap::overflow): the mark of a consumer
+/// that has fallen behind. Publishing never blocks or drops past it.
+const TAP_BACKLOG_MARK: usize = 64;
 
 /// One batch of records published through an [`IngestTap`].
 #[derive(Debug, Clone, PartialEq)]
@@ -79,27 +78,20 @@ pub struct TapBatch {
     pub records: Vec<Record>,
 }
 
-#[derive(Debug)]
-struct TapShard {
-    tx: Sender<TapBatch>,
-    rx: Receiver<TapBatch>,
-    /// Overflow past the channel bound; drained after the channel so a
-    /// shard's batches are still consumed in publish order.
-    spill: Mutex<Vec<TapBatch>>,
-}
-
 /// A subscription on server ingest: every *accepted* (newly stored) record
-/// is re-published, per shard, into a bounded channel the live analysis
-/// engine drains in batches. Publishing never blocks and never drops — a
-/// full channel spills to a side buffer — with one deliberate exception:
-/// [`CollectionServer::crash`] discards undrained batches (they were "in
-/// flight" inside the dead process), and the subsequent
-/// [`recover`](CollectionServer::recover) re-publishes the whole rebuilt
-/// store as replay batches, so a consumer that deduplicates replays
-/// converges back to exactly the server's contents.
+/// is re-published, per shard, into an unbounded queue the live analysis
+/// engine drains in batches. Each shard has one queue under one lock:
+/// publishing pushes, draining takes the whole queue, so a shard's batches
+/// always come out in publish order. Publishing never blocks and never
+/// drops, with one deliberate exception: [`CollectionServer::crash`]
+/// discards undrained batches (they were "in flight" inside the dead
+/// process), and the subsequent [`recover`](CollectionServer::recover)
+/// re-publishes the whole rebuilt store as replay batches, so a consumer
+/// that deduplicates replays converges back to exactly the server's
+/// contents.
 #[derive(Debug)]
 pub struct IngestTap {
-    shards: Box<[TapShard]>,
+    shards: Box<[Mutex<Vec<TapBatch>>]>,
     published: AtomicU64,
     overflow: AtomicU64,
     discarded: AtomicU64,
@@ -108,12 +100,7 @@ pub struct IngestTap {
 impl IngestTap {
     fn new(n_shards: usize) -> IngestTap {
         IngestTap {
-            shards: (0..n_shards)
-                .map(|_| {
-                    let (tx, rx) = bounded(TAP_CHANNEL_BOUND);
-                    TapShard { tx, rx, spill: Mutex::new(Vec::new()) }
-                })
-                .collect(),
+            shards: (0..n_shards).map(|_| Mutex::new(Vec::new())).collect(),
             published: AtomicU64::new(0),
             overflow: AtomicU64::new(0),
             discarded: AtomicU64::new(0),
@@ -125,51 +112,33 @@ impl IngestTap {
         if records.is_empty() {
             return;
         }
-        self.published.fetch_add(records.len() as u64, Ordering::Relaxed);
-        let slot = &self.shards[shard];
-        let batch = TapBatch { shard, replay, records };
-        // Keep channel→spill ordering: once anything spilled, later
-        // batches must spill too until the consumer drains the backlog.
-        let mut spill = slot.spill.lock();
-        if spill.is_empty() {
-            match slot.tx.try_send(batch) {
-                Ok(()) => (),
-                Err(TrySendError::Full(batch)) | Err(TrySendError::Disconnected(batch)) => {
-                    self.overflow.fetch_add(batch.records.len() as u64, Ordering::Relaxed);
-                    spill.push(batch);
-                }
-            }
-        } else {
-            self.overflow.fetch_add(batch.records.len() as u64, Ordering::Relaxed);
-            spill.push(batch);
+        let n = records.len() as u64;
+        self.published.fetch_add(n, Ordering::Relaxed);
+        let mut queue = self.shards[shard].lock();
+        if queue.len() >= TAP_BACKLOG_MARK {
+            self.overflow.fetch_add(n, Ordering::Relaxed);
         }
+        queue.push(TapBatch { shard, replay, records });
     }
 
     /// Drain every pending batch into `out`. Per shard, batches arrive in
     /// publish order; across shards the interleaving is arbitrary (device
     /// streams never span shards, so per-device order is preserved).
     pub fn drain_into(&self, out: &mut Vec<TapBatch>) {
-        for slot in self.shards.iter() {
-            while let Ok(batch) = slot.rx.try_recv() {
-                out.push(batch);
-            }
-            let mut spill = slot.spill.lock();
-            out.append(&mut spill);
+        for queue in self.shards.iter() {
+            out.append(&mut queue.lock());
         }
     }
 
     /// Drop everything not yet drained (simulated crash loss) and return
     /// how many records were discarded.
     fn discard_pending(&self) -> u64 {
-        let mut n = 0u64;
-        for slot in self.shards.iter() {
-            while let Ok(batch) = slot.rx.try_recv() {
-                n += batch.records.len() as u64;
-            }
-            for batch in slot.spill.lock().drain(..) {
-                n += batch.records.len() as u64;
-            }
-        }
+        let n: u64 = self
+            .shards
+            .iter()
+            .flat_map(|queue| std::mem::take(&mut *queue.lock()))
+            .map(|batch| batch.records.len() as u64)
+            .sum();
         self.discarded.fetch_add(n, Ordering::Relaxed);
         n
     }
@@ -179,7 +148,8 @@ impl IngestTap {
         self.published.load(Ordering::Relaxed)
     }
 
-    /// Records that had to take the spill path because a channel was full.
+    /// Records published while their shard's queue already held 64 or
+    /// more undrained batches: how far the consumer fell behind.
     pub fn overflow(&self) -> u64 {
         self.overflow.load(Ordering::Relaxed)
     }
@@ -275,7 +245,7 @@ impl CollectionServer {
     }
 
     /// Attach (or fetch) the ingest tap: from now on every newly stored
-    /// record is also published into the tap's per-shard channels for a
+    /// record is also published into the tap's per-shard queues for a
     /// streaming consumer. Idempotent — repeated calls return the same
     /// tap. Records stored *before* the first call are not republished
     /// (attach before ingesting, or call [`recover`] to replay).
@@ -556,11 +526,6 @@ impl CollectionServer {
         stored
     }
 
-    /// Ingest a batch, ignoring individual failures (they are counted).
-    pub fn ingest_all(&self, frames: impl IntoIterator<Item = Bytes>) {
-        self.ingest_batch(frames);
-    }
-
     /// Snapshot the ingest statistics.
     pub fn stats(&self) -> IngestStats {
         IngestStats {
@@ -663,9 +628,7 @@ impl CollectionServer {
                     ),
                 });
             }
-            for record in records {
-                server.store(record);
-            }
+            server.store_batch(records);
         }
         Ok(server)
     }
@@ -879,7 +842,7 @@ mod tests {
         assert_eq!(server.stats(), expect);
         // Batch path: same accounting.
         let server = CollectionServer::new();
-        server.ingest_all(vec![bad.clone(), encode_frame(&record(0, 0)), bad]);
+        server.ingest_batch(vec![bad.clone(), encode_frame(&record(0, 0)), bad]);
         let expect = IngestStats { frames: 3, rejected: 2, ..IngestStats::default() };
         assert_eq!(server.stats(), expect);
     }
@@ -1017,7 +980,7 @@ mod tests {
         assert!(server.is_empty(), "crash wipes the live store");
         // Deliveries while down are lost, not stored, not counted as frames.
         assert_eq!(server.ingest(&encode_frame(&record(0, 99))), Ok(false));
-        server.ingest_all(vec![encode_frame(&record(1, 99))]);
+        server.ingest_batch(vec![encode_frame(&record(1, 99))]);
         assert_eq!(server.stats().lost_down, 2);
         assert_eq!(server.stats().frames, 160);
 
@@ -1093,13 +1056,14 @@ mod tests {
         assert_eq!(tap.discarded(), 0);
     }
 
-    /// Past the channel bound, publishes spill instead of blocking — and a
-    /// drain still yields every batch of a shard in publish order.
+    /// Past the backlog mark, publishes are counted as overflow instead of
+    /// blocking — and a drain still yields every batch of a shard in
+    /// publish order.
     #[test]
     fn tap_overflow_spills_and_preserves_order() {
         let server = CollectionServer::with_shards(1);
         let tap = server.attach_tap();
-        let n = super::TAP_CHANNEL_BOUND as u32 + 40;
+        let n = super::TAP_BACKLOG_MARK as u32 + 40;
         for s in 0..n {
             server.ingest(&encode_frame(&record(0, s))).unwrap();
         }

@@ -68,7 +68,9 @@ pub struct LiveRunReport {
     pub batch_stats: Option<CleanStats>,
     /// Records published through the tap (replays included).
     pub tap_published: u64,
-    /// Records that overflowed a tap channel into the spill buffer.
+    /// Records published while their tap shard already held a backlog of
+    /// 64 or more undrained batches (see
+    /// [`IngestTap::overflow`](mobitrace_collector::IngestTap::overflow)).
     pub tap_overflow: u64,
     /// Wall-clock seconds for the whole run (campaign + live engine).
     pub wall_s: f64,
@@ -343,5 +345,6 @@ mod tests {
         assert_eq!(a.finished.snapshot.index, b.finished.snapshot.index);
         assert_eq!(a.finished.snapshot.cols, b.finished.snapshot.cols);
         assert_eq!(a.finished.stats.as_clean_stats(), b.finished.stats.as_clean_stats());
+        assert_eq!(a.finished.late, b.finished.late, "same records dropped as late");
     }
 }

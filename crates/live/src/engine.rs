@@ -595,6 +595,9 @@ mod tests {
         (fin, stats)
     }
 
+    /// An engine over the full device table that sees only some devices'
+    /// records (one server's share when several servers split a fleet)
+    /// converges to the batch reference over those records alone.
     #[test]
     fn interleaved_devices_converge() {
         let mut engine = LiveEngine::new(meta(2), 3, LiveOptions::default());
@@ -608,6 +611,7 @@ mod tests {
         }
         let (fin, stats) = finish_and_check(engine, &sorted(all));
         assert_eq!(stats.records_in, 20);
+        assert_eq!(fin.stats.folded, 20);
         assert_eq!(fin.stats.late_dropped, 0);
         assert_eq!(fin.stats.dup_dropped, 0);
         // Device 1 never reported; its range must still resolve.

@@ -23,7 +23,6 @@
 
 pub mod campaign;
 pub mod engine;
-pub mod group;
 pub mod pool_sink;
 
 pub use campaign::{
@@ -34,5 +33,4 @@ pub use engine::{
     batch_reference, check_convergence, placeholder_devices, FinishedLive, LiveEngine, LiveOptions,
     LiveStats,
 };
-pub use group::EngineGroup;
 pub use pool_sink::{latest_generation, PoolSpoolStats, SnapshotPoolSink};

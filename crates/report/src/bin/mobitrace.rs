@@ -476,7 +476,7 @@ fn run_live(args: &Args) {
         stats.missing_records
     );
     println!(
-        "tap: {} records published, {} overflowed to spill",
+        "tap: {} records published, {} behind a backlog of 64+ batches",
         report.tap_published, report.tap_overflow
     );
 
